@@ -1,11 +1,14 @@
 //! Per-strategy selection cost over growing candidate pools.
 
+use std::cell::RefCell;
+use std::sync::Arc;
+
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use et_belief::{build_prior, PriorConfig, PriorSpec};
 use et_bench::fixtures::fixture;
 use et_core::{CandidatePool, ResponseStrategy, ScoreCtx, StrategyKind};
 use et_data::gen::DatasetName;
-use et_fd::{PartitionCache, RelationMatrix};
+use et_fd::{DeltaScorer, PartitionCache};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -23,42 +26,28 @@ fn bench_selection(c: &mut Criterion) {
     for pool_cap in [200usize, 1000, 4000] {
         let pool = CandidatePool::build_with(&f.table, &f.space, &cache, pool_cap, 3);
         let candidates = pool.pairs().to_vec();
-        let pairs: Vec<(usize, usize)> = candidates.iter().map(|p| (p.a, p.b)).collect();
-        let matrix = RelationMatrix::build(&f.table, &f.space, &cache, &pairs);
+        let matrix = Arc::new(pool.relation_matrix(&f.table, &f.space, &cache));
         for kind in StrategyKind::PAPER_METHODS {
             let strategy = ResponseStrategy::paper(kind);
-            // Reference (raw-cell) scoring path.
-            group.bench_with_input(
-                BenchmarkId::new(kind.as_str(), pool_cap),
-                &pool_cap,
-                |b, _| {
-                    b.iter_batched(
-                        || StdRng::seed_from_u64(9),
-                        |mut rng| {
-                            strategy.select(
-                                ScoreCtx::new(black_box(&f.table)).with_index(&index),
-                                black_box(&belief),
-                                black_box(&candidates),
-                                5,
-                                &mut rng,
-                            )
-                        },
-                        criterion::BatchSize::SmallInput,
-                    )
-                },
-            );
-            // Precomputed relation-matrix scoring path.
+            // A cold scorer per iteration: one full fold over the matrix,
+            // the cost of a round whose belief moved every FD.
             group.bench_with_input(
                 BenchmarkId::new(format!("{}_matrix", kind.as_str()), pool_cap),
                 &pool_cap,
                 |b, _| {
                     b.iter_batched(
-                        || StdRng::seed_from_u64(9),
-                        |mut rng| {
+                        || {
+                            (
+                                StdRng::seed_from_u64(9),
+                                RefCell::new(DeltaScorer::new(Arc::clone(&matrix))),
+                            )
+                        },
+                        |(mut rng, scorer)| {
                             strategy.select(
-                                ScoreCtx::new(black_box(&f.table))
-                                    .with_index(&index)
-                                    .with_matrix(&matrix),
+                                ScoreCtx {
+                                    index: &index,
+                                    scorer: &scorer,
+                                },
                                 black_box(&belief),
                                 black_box(&candidates),
                                 5,

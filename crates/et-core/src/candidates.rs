@@ -10,7 +10,7 @@
 use std::collections::HashSet;
 
 use et_data::Table;
-use et_fd::{HypothesisSpace, PartitionCache};
+use et_fd::{HypothesisSpace, PartitionCache, RelationMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -116,6 +116,23 @@ impl CandidatePool {
             .copied()
             .filter(|p| !shown.contains(p))
             .collect()
+    }
+
+    /// The round-invariant pair-relation matrix over this pool (pair id
+    /// `i` is `pairs()[i]`): what every response strategy scores from,
+    /// through a [`et_fd::DeltaScorer`].
+    ///
+    /// # Panics
+    /// Panics when `cache` does not match `table`'s row count, or a pair
+    /// references a row outside `table`.
+    pub fn relation_matrix(
+        &self,
+        table: &Table,
+        space: &HypothesisSpace,
+        cache: &PartitionCache,
+    ) -> RelationMatrix {
+        let pairs: Vec<(usize, usize)> = self.pairs.iter().map(|p| (p.a, p.b)).collect();
+        RelationMatrix::build(table, space, cache, &pairs)
     }
 }
 

@@ -133,21 +133,9 @@ impl Learner {
         picked
     }
 
-    /// The learner's current policy distribution over the fresh candidates
-    /// (for payoff/entropy accounting).
-    pub fn policy_over_fresh(
-        &self,
-        ctx: ScoreCtx<'_>,
-        pool: &CandidatePool,
-        k: usize,
-    ) -> (Vec<PairExample>, Vec<f64>) {
-        let fresh = pool.fresh(&self.shown);
-        let dist = self.policy_over(ctx, &fresh, k);
-        (fresh, dist)
-    }
-
-    /// [`Learner::policy_over_fresh`] over an explicit fresh-candidate
-    /// list (the counterpart of [`Learner::select_from`]).
+    /// The learner's current policy distribution over an explicit
+    /// fresh-candidate list (for payoff/entropy accounting; the
+    /// counterpart of [`Learner::select_from`]).
     pub fn policy_over(&self, ctx: ScoreCtx<'_>, fresh: &[PairExample], k: usize) -> Vec<f64> {
         self.strategy
             .policy_distribution(ctx, &self.belief, fresh, k)
@@ -292,13 +280,14 @@ impl Learner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::respond::reference::TestCtx;
     use crate::respond::StrategyKind;
     use et_belief::Beta;
     use et_data::table::paper_table1;
     use et_fd::{Fd, HypothesisSpace};
     use std::sync::Arc;
 
-    fn setup() -> (Table, Learner, CandidatePool) {
+    fn setup() -> (Table, TestCtx, Learner, CandidatePool) {
         let t = paper_table1();
         let space = Arc::new(HypothesisSpace::from_fds([
             Fd::from_attrs([1], 2),
@@ -312,17 +301,18 @@ mod tests {
             1,
         );
         let pool = CandidatePool::build(&t, &space, 100, 1);
-        (t, learner, pool)
+        let scoring = TestCtx::new(&t, &space);
+        (t, scoring, learner, pool)
     }
 
     use et_data::Table;
 
     #[test]
     fn never_repeats_pairs() {
-        let (t, mut learner, pool) = setup();
+        let (_, scoring, mut learner, pool) = setup();
         let mut seen = HashSet::new();
         loop {
-            let picked = learner.select(ScoreCtx::new(&t), &pool, 1);
+            let picked = learner.select(scoring.ctx(), &pool, 1);
             if picked.is_empty() {
                 break;
             }
@@ -335,7 +325,7 @@ mod tests {
 
     #[test]
     fn absorb_moves_belief() {
-        let (t, mut learner, _) = setup();
+        let (t, _, mut learner, _) = setup();
         let before = learner.confidences();
         learner.absorb(
             &t,
@@ -352,10 +342,11 @@ mod tests {
     }
 
     #[test]
-    fn policy_over_fresh_respects_shown() {
-        let (t, mut learner, pool) = setup();
-        let _ = learner.select(ScoreCtx::new(&t), &pool, 1);
-        let (fresh, dist) = learner.policy_over_fresh(ScoreCtx::new(&t), &pool, 2);
+    fn policy_over_respects_shown() {
+        let (_, scoring, mut learner, pool) = setup();
+        let _ = learner.select(scoring.ctx(), &pool, 1);
+        let fresh = pool.fresh(learner.shown());
+        let dist = learner.policy_over(scoring.ctx(), &fresh, 2);
         assert_eq!(fresh.len(), pool.len() - 1);
         assert_eq!(dist.len(), fresh.len());
     }

@@ -10,33 +10,9 @@
 
 use et_belief::{Belief, LabeledPair};
 use et_data::Table;
-use et_fd::{
-    binary_entropy, pair_dirty_probs_with, violation_factors, DetectParams, RelationMatrix,
-};
+use et_fd::{binary_entropy, pair_dirty_probs_with, DetectParams};
 
 use crate::game::PairExample;
-
-/// Pair dirty probabilities via the matrix fast path when it covers the
-/// pair (precomputed `factors` required), the raw-cell reference scan
-/// otherwise. Bit-identical either way: the matrix multiplies the same
-/// noisy-OR factors in the same ascending-FD order.
-fn pair_probs(
-    table: &Table,
-    belief: &Belief,
-    conf: &[f64],
-    fast: Option<(&RelationMatrix, &[f64])>,
-    a: usize,
-    b: usize,
-    params: &DetectParams,
-) -> (f64, f64) {
-    if let Some((m, f)) = fast {
-        if let Some(pid) = m.pair_id(a, b) {
-            let p = m.dirty_prob_with_factors(pid, f, params);
-            return (p, p);
-        }
-    }
-    pair_dirty_probs_with(table, belief.space(), conf, a, b, params)
-}
 
 /// The belief-probability that pair `p` is labeled the way the belief
 /// itself would label it: `Σ over the pair's tuples of max(p_dirty,
@@ -47,21 +23,9 @@ fn pair_probs(
 /// paper's raw (unsmoothed) probabilities — an undecided belief must read
 /// as maximal uncertainty, not as the ambient base rate.
 pub fn example_confidence(table: &Table, belief: &Belief, p: PairExample) -> f64 {
-    example_confidence_with(table, belief, None, p)
-}
-
-/// [`example_confidence`] with an optional [`RelationMatrix`] fast path.
-pub fn example_confidence_with(
-    table: &Table,
-    belief: &Belief,
-    matrix: Option<&RelationMatrix>,
-    p: PairExample,
-) -> f64 {
     let conf = belief.confidences();
     let raw = DetectParams::unsmoothed();
-    let factors = matrix.map(|_| violation_factors(&conf, &raw));
-    let fast = matrix.zip(factors.as_deref());
-    let (pa, pb) = pair_probs(table, belief, &conf, fast, p.a, p.b, &raw);
+    let (pa, pb) = pair_dirty_probs_with(table, belief.space(), &conf, p.a, p.b, &raw);
     pa.max(1.0 - pa) + pb.max(1.0 - pb)
 }
 
@@ -69,46 +33,21 @@ pub fn example_confidence_with(
 /// `entropy(x, θ) = −p ln p − (1−p) ln(1−p)` summed over the pair's tuples,
 /// with `p` the raw belief-weighted dirty probability.
 pub fn example_uncertainty(table: &Table, belief: &Belief, p: PairExample) -> f64 {
-    example_uncertainty_with(table, belief, None, p)
-}
-
-/// [`example_uncertainty`] with an optional [`RelationMatrix`] fast path.
-pub fn example_uncertainty_with(
-    table: &Table,
-    belief: &Belief,
-    matrix: Option<&RelationMatrix>,
-    p: PairExample,
-) -> f64 {
     let conf = belief.confidences();
     let raw = DetectParams::unsmoothed();
-    let factors = matrix.map(|_| violation_factors(&conf, &raw));
-    let fast = matrix.zip(factors.as_deref());
-    let (pa, pb) = pair_probs(table, belief, &conf, fast, p.a, p.b, &raw);
+    let (pa, pb) = pair_dirty_probs_with(table, belief.space(), &conf, p.a, p.b, &raw);
     binary_entropy(pa) + binary_entropy(pb)
 }
 
 /// Trainer payoff `u_T`: how strongly the trainer's belief endorses the
 /// labels it produced in one interaction.
 pub fn trainer_payoff(table: &Table, belief: &Belief, labeled: &[LabeledPair]) -> f64 {
-    trainer_payoff_with(table, belief, None, labeled)
-}
-
-/// [`trainer_payoff`] with an optional [`RelationMatrix`] fast path: the
-/// per-FD factors are computed once for the whole labeled batch.
-pub fn trainer_payoff_with(
-    table: &Table,
-    belief: &Belief,
-    matrix: Option<&RelationMatrix>,
-    labeled: &[LabeledPair],
-) -> f64 {
     let conf = belief.confidences();
     let raw = DetectParams::unsmoothed();
-    let factors = matrix.map(|_| violation_factors(&conf, &raw));
-    let fast = matrix.zip(factors.as_deref());
     labeled
         .iter()
         .map(|l| {
-            let (pa, pb) = pair_probs(table, belief, &conf, fast, l.a, l.b, &raw);
+            let (pa, pb) = pair_dirty_probs_with(table, belief.space(), &conf, l.a, l.b, &raw);
             let ta = if l.dirty_a { pa } else { 1.0 - pa };
             let tb = if l.dirty_b { pb } else { 1.0 - pb };
             ta + tb

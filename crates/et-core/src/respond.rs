@@ -17,99 +17,39 @@
 //! and `ThompsonSampling` (score under a posterior draw instead of the
 //! posterior mean).
 
-use std::cell::{RefCell, RefMut};
+use std::cell::RefCell;
 
 use et_belief::Belief;
-use et_data::Table;
 use et_fd::{
-    binary_entropy, invariant, tuple_dirty_prob_with, DeltaScorer, DetectParams, PairScores,
-    RelationMatrix, ViolationIndex,
+    binary_entropy, invariant, tuple_dirty_prob_with, DeltaScorer, DetectParams, RelationMatrix,
+    ViolationIndex,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::game::PairExample;
-use crate::payoff::{example_confidence, example_uncertainty};
 use crate::topk::top_k_indices;
 
 /// Everything a response strategy scores from.
 ///
-/// `table` is always required (the reference scoring path derives pair
-/// relations from raw cells); `index` enables [`ScoreBasis::DatasetTuple`]
-/// scoring; `matrix` enables the precomputed fast path — strategies score
-/// from the bit-packed [`RelationMatrix`] for every candidate it covers and
-/// fall back to the per-call reference path, pair by pair, for any it does
-/// not. Both paths are bit-identical by construction (pinned by proptest).
+/// Every strategy scores through `scorer`, the session's delta-rescoring
+/// cache over the [`RelationMatrix`] of its candidate pool
+/// ([`crate::CandidatePool::relation_matrix`]); `index` serves
+/// [`ScoreBasis::DatasetTuple`].
+///
+/// Contract: every candidate handed to a strategy with this context is a
+/// pair of the scorer's matrix. Sessions, the weak/strong protocol and the
+/// drift experiment select only from the pool the matrix was built over, so
+/// none of them can break it. Where a strategy reads the matrix,
+/// `invariant-checks` builds assert the contract; other builds score a
+/// candidate outside the matrix 0.0.
 #[derive(Debug, Clone, Copy)]
 pub struct ScoreCtx<'a> {
-    /// The dataset being labeled.
-    pub table: &'a Table,
     /// Dataset-wide violation index, for [`ScoreBasis::DatasetTuple`].
-    pub index: Option<&'a ViolationIndex>,
-    /// Precomputed pair-relation matrix over the candidate pool.
-    pub matrix: Option<&'a RelationMatrix>,
-    /// Session-lifetime delta-rescoring cache over `matrix`. When present
-    /// (and it owns the same matrix), batch scores are served by factor
-    /// diff + delta re-fold instead of a from-scratch `score_all` — the
-    /// second scoring pass of a round and near-unchanged beliefs become
-    /// (near-)free. Scores are bit-identical either way.
-    pub scorer: Option<&'a RefCell<DeltaScorer>>,
-}
-
-impl<'a> ScoreCtx<'a> {
-    /// A context scoring from raw cells only (the reference path).
-    pub fn new(table: &'a Table) -> Self {
-        Self {
-            table,
-            index: None,
-            matrix: None,
-            scorer: None,
-        }
-    }
-
-    /// Attaches the dataset-wide violation index.
-    #[must_use]
-    pub fn with_index(mut self, index: &'a ViolationIndex) -> Self {
-        self.index = Some(index);
-        self
-    }
-
-    /// Attaches a precomputed relation matrix (the fast scoring path).
-    #[must_use]
-    pub fn with_matrix(mut self, matrix: &'a RelationMatrix) -> Self {
-        self.matrix = Some(matrix);
-        self
-    }
-
-    /// Attaches a delta-rescoring cache (used only when it covers the
-    /// attached matrix).
-    #[must_use]
-    pub fn with_scorer(mut self, scorer: &'a RefCell<DeltaScorer>) -> Self {
-        self.scorer = Some(scorer);
-        self
-    }
-}
-
-/// Batch scores over `m` for one `(confidences, params)` request: served
-/// from the attached [`DeltaScorer`] when it caches this very matrix
-/// (delta re-fold, cached across calls), freshly computed otherwise. The
-/// two out-parameters anchor the returned borrow in the caller's frame.
-fn batch_scores<'a, 'g: 'a>(
-    m: &RelationMatrix,
-    scorer: Option<&'g RefCell<DeltaScorer>>,
-    confidences: &[f64],
-    params: &DetectParams,
-    owned: &'a mut Option<PairScores>,
-    guard: &'a mut Option<RefMut<'g, DeltaScorer>>,
-) -> &'a PairScores {
-    if let Some(cell) = scorer {
-        let g = cell.borrow_mut();
-        if std::ptr::eq::<RelationMatrix>(g.matrix(), m) {
-            return guard.insert(g).scores_for(confidences, params);
-        }
-    }
-    owned.insert(m.score_all(confidences, params))
+    pub index: &'a ViolationIndex,
+    /// Delta-rescoring cache over the candidate pool's relation matrix.
+    pub scorer: &'a RefCell<DeltaScorer>,
 }
 
 /// What the per-example scores are computed from.
@@ -243,10 +183,8 @@ impl ResponseStrategy {
     /// Selects up to `k` distinct pairs from `candidates`.
     ///
     /// Deterministic strategies break score ties by pair order; stochastic
-    /// strategies consume `rng`. `ctx` carries the scoring inputs: the
-    /// table (always), the dataset-wide violation index used by
-    /// [`ScoreBasis::DatasetTuple`], and the optional [`RelationMatrix`]
-    /// fast path.
+    /// strategies consume `rng`. `ctx` carries the scoring inputs (see
+    /// [`ScoreCtx`] for the contract on `candidates`).
     pub fn select(
         &self,
         ctx: ScoreCtx<'_>,
@@ -327,14 +265,12 @@ impl ResponseStrategy {
         }
     }
 
-    /// Raw per-candidate scores for this strategy's criterion.
-    ///
-    /// When `ctx.matrix` covers a candidate pair, its score comes from the
-    /// precomputed packed relations (one batch [`RelationMatrix::score_all`]
-    /// pass instead of a per-pair raw-cell scan); uncovered pairs fall back
-    /// to the reference path. Both produce bit-identical scores: the matrix
-    /// multiplies the same noisy-OR factors in the same ascending-FD order
-    /// as [`et_fd::pair_dirty_probs_with`].
+    /// Raw per-candidate scores for this strategy's criterion, served by
+    /// the context's [`DeltaScorer`] (or, for [`ScoreBasis::DatasetTuple`],
+    /// its violation index). Bit-identical to the per-pair raw-cell
+    /// definitions: the matrix multiplies the same noisy-OR factors in the
+    /// same ascending-FD order as [`et_fd::pair_dirty_probs_with`] (pinned
+    /// against the test oracle in `reference`).
     fn scores(
         &self,
         ctx: ScoreCtx<'_>,
@@ -342,193 +278,111 @@ impl ResponseStrategy {
         candidates: &[PairExample],
         thompson_draw: Option<&[f64]>,
     ) -> Vec<f64> {
-        if matches!(self.kind, StrategyKind::Random) {
-            return vec![0.0; candidates.len()];
-        }
-        if matches!(self.kind, StrategyKind::CommitteeDisagreement) {
-            // Summed posterior variance over the FDs each pair violates;
-            // the matrix already knows each covered pair's violated set.
-            let mut rel: Option<et_fd::SpaceRelations> = None;
-            return candidates
-                .iter()
-                .map(
-                    |p| match ctx.matrix.and_then(|m| Some((m, m.pair_id(p.a, p.b)?))) {
-                        Some((m, pid)) => m
-                            .violated_indices(pid)
-                            .map(|fi| belief.dist(fi).variance())
-                            .sum(),
-                        None => {
-                            let rel = rel
-                                .get_or_insert_with(|| et_fd::SpaceRelations::new(belief.space()));
-                            (0..rel.len())
-                                .filter(|&fi| {
-                                    rel.relation(ctx.table, fi, p.a, p.b)
-                                        == et_fd::PairRelation::Violates
-                                })
-                                .map(|fi| belief.dist(fi).variance())
-                                .sum()
-                        }
-                    },
-                )
-                .collect();
-        }
-        if matches!(self.kind, StrategyKind::DensityWeightedUncertainty) {
-            // Uncertainty x representativeness (relevant-FD count).
-            let n_fds = belief.len().max(1) as f64;
-            let conf = belief.confidences();
-            let (mut owned, mut guard) = (None, None);
-            let batch = ctx.matrix.map(|m| {
-                batch_scores(
-                    m,
-                    ctx.scorer,
-                    &conf,
-                    &DetectParams::unsmoothed(),
-                    &mut owned,
-                    &mut guard,
-                )
-            });
-            let mut rel: Option<et_fd::SpaceRelations> = None;
-            return candidates
-                .iter()
-                .map(|&p| {
-                    let hit = ctx
-                        .matrix
-                        .zip(batch)
-                        .and_then(|(m, b)| Some((m, b, m.pair_id(p.a, p.b)?)));
-                    match hit {
-                        Some((m, b, pid)) => {
-                            let e = b.entropy[pid];
-                            (e + e) * (m.relevant_count(pid) as f64 / n_fds)
-                        }
-                        None => {
-                            let rel = rel
-                                .get_or_insert_with(|| et_fd::SpaceRelations::new(belief.space()));
-                            let relevant = (0..rel.len())
-                                .filter(|&fi| {
-                                    rel.relation(ctx.table, fi, p.a, p.b)
-                                        != et_fd::PairRelation::Irrelevant
-                                })
-                                .count() as f64;
-                            example_uncertainty(ctx.table, belief, p) * (relevant / n_fds)
-                        }
-                    }
-                })
-                .collect();
-        }
-        let conf_holder;
-        let conf: &[f64] = match thompson_draw {
-            Some(d) => d,
-            None => {
-                conf_holder = belief.confidences();
-                &conf_holder
+        match self.kind {
+            StrategyKind::Random => return vec![0.0; candidates.len()],
+            StrategyKind::CommitteeDisagreement => {
+                // Summed posterior variance over the FDs each pair violates.
+                let scorer = ctx.scorer.borrow();
+                let m = scorer.matrix();
+                return by_pair(m, candidates, |pid| {
+                    m.violated_indices(pid)
+                        .map(|fi| belief.dist(fi).variance())
+                        .sum()
+                });
             }
+            _ => {}
+        }
+        let mean = belief.confidences();
+        let density = self.kind == StrategyKind::DensityWeightedUncertainty;
+        if self.basis == ScoreBasis::DatasetTuple && !density {
+            let conf = thompson_draw.unwrap_or(&mean);
+            return dataset_tuple_scores(self.kind, ctx.index, conf, candidates);
+        }
+        // Uncertainty is belief-internal: raw probabilities under the
+        // posterior mean, never the draw. Confidence is smoothed under a
+        // Thompson draw (matching `pair_dirty_probs`) and raw otherwise
+        // (matching `example_confidence`).
+        let uncertainty = density
+            || matches!(
+                self.kind,
+                StrategyKind::UncertaintySampling | StrategyKind::StochasticUncertainty
+            );
+        let (conf, params) = match thompson_draw {
+            Some(draw) if !uncertainty => (draw, DetectParams::default()),
+            _ => (&mean[..], DetectParams::unsmoothed()),
         };
-        match (self.basis, ctx.index) {
-            (ScoreBasis::DatasetTuple, Some(index)) => {
-                // The paper's per-tuple p(dirty | θ) over the whole dataset.
-                let params = DetectParams::default();
-                let mut probs = vec![f64::NAN; index.n_rows()];
-                let prob = |row: usize, probs: &mut Vec<f64>| {
-                    if probs[row].is_nan() {
-                        probs[row] = tuple_dirty_prob_with(index, conf, row, &params);
-                    }
-                    probs[row]
-                };
-                candidates
-                    .iter()
-                    .map(|p| {
-                        let pa = prob(p.a, &mut probs);
-                        let pb = prob(p.b, &mut probs);
-                        match self.kind {
-                            StrategyKind::UncertaintySampling
-                            | StrategyKind::StochasticUncertainty => {
-                                binary_entropy(pa) + binary_entropy(pb)
-                            }
-                            _ => pa.max(1.0 - pa) + pb.max(1.0 - pb),
-                        }
-                    })
-                    .collect()
+        let n_fds = belief.len().max(1) as f64;
+        let mut scorer = ctx.scorer.borrow_mut();
+        let (m, b) = scorer.scored(conf, &params);
+        by_pair(m, candidates, |pid| {
+            if density {
+                // Uncertainty x representativeness (relevant-FD count).
+                let e = b.entropy[pid];
+                (e + e) * (m.relevant_count(pid) as f64 / n_fds)
+            } else if uncertainty {
+                let e = b.entropy[pid];
+                e + e
+            } else {
+                let d = b.dirty[pid];
+                let s = d.max(1.0 - d);
+                s + s
             }
-            _ => {
-                // Pair-local scoring (ablation, or no index supplied).
-                match self.kind {
-                    StrategyKind::UncertaintySampling | StrategyKind::StochasticUncertainty => {
-                        // Uncertainty is belief-internal: raw probabilities,
-                        // posterior-mean confidences (never the draw).
-                        let mean_conf = belief.confidences();
-                        let (mut owned, mut guard) = (None, None);
-                        let batch = ctx.matrix.map(|m| {
-                            batch_scores(
-                                m,
-                                ctx.scorer,
-                                &mean_conf,
-                                &DetectParams::unsmoothed(),
-                                &mut owned,
-                                &mut guard,
-                            )
-                        });
-                        candidates
-                            .iter()
-                            .map(|&p| {
-                                let hit = ctx
-                                    .matrix
-                                    .zip(batch)
-                                    .and_then(|(m, b)| Some((b, m.pair_id(p.a, p.b)?)));
-                                match hit {
-                                    Some((b, pid)) => {
-                                        let e = b.entropy[pid];
-                                        e + e
-                                    }
-                                    None => example_uncertainty(ctx.table, belief, p),
-                                }
-                            })
-                            .collect()
-                    }
-                    _ => {
-                        // Confidence scoring: smoothed under a Thompson draw
-                        // (matching `pair_dirty_probs`), raw otherwise
-                        // (matching `example_confidence`).
-                        let params = if thompson_draw.is_some() {
-                            DetectParams::default()
-                        } else {
-                            DetectParams::unsmoothed()
-                        };
-                        let (mut owned, mut guard) = (None, None);
-                        let batch = ctx.matrix.map(|m| {
-                            batch_scores(m, ctx.scorer, conf, &params, &mut owned, &mut guard)
-                        });
-                        candidates
-                            .iter()
-                            .map(|&p| {
-                                let hit = ctx
-                                    .matrix
-                                    .zip(batch)
-                                    .and_then(|(m, b)| Some((b, m.pair_id(p.a, p.b)?)));
-                                match hit {
-                                    Some((b, pid)) => {
-                                        let d = b.dirty[pid];
-                                        let s = d.max(1.0 - d);
-                                        s + s
-                                    }
-                                    None if thompson_draw.is_some() => {
-                                        let (pa, pb) = et_fd::pair_dirty_probs(
-                                            ctx.table,
-                                            belief.space(),
-                                            conf,
-                                            p.a,
-                                            p.b,
-                                        );
-                                        pa.max(1.0 - pa) + pb.max(1.0 - pb)
-                                    }
-                                    None => example_confidence(ctx.table, belief, p),
-                                }
-                            })
-                            .collect()
-                    }
-                }
-            }
-        }
+        })
     }
+}
+
+/// `score(pid)` for each candidate's pair id in `m`. A candidate outside
+/// `m` breaks the [`ScoreCtx`] contract and scores 0.0.
+fn by_pair(
+    m: &RelationMatrix,
+    candidates: &[PairExample],
+    score: impl Fn(usize) -> f64,
+) -> Vec<f64> {
+    candidates
+        .iter()
+        .map(|p| {
+            let pid = m.pair_id(p.a, p.b);
+            invariant!(
+                pid.is_some(),
+                "candidate ({}, {}) is outside the scorer's relation matrix",
+                p.a,
+                p.b
+            );
+            pid.map_or(0.0, &score)
+        })
+        .collect()
+}
+
+/// The paper's per-tuple `p(dirty | θ)` over the whole dataset: entropy
+/// for the uncertainty strategies, confidence otherwise, summed over the
+/// pair's tuples.
+fn dataset_tuple_scores(
+    kind: StrategyKind,
+    index: &ViolationIndex,
+    conf: &[f64],
+    candidates: &[PairExample],
+) -> Vec<f64> {
+    let params = DetectParams::default();
+    let mut probs = vec![f64::NAN; index.n_rows()];
+    let prob = |row: usize, probs: &mut Vec<f64>| {
+        if probs[row].is_nan() {
+            probs[row] = tuple_dirty_prob_with(index, conf, row, &params);
+        }
+        probs[row]
+    };
+    candidates
+        .iter()
+        .map(|p| {
+            let pa = prob(p.a, &mut probs);
+            let pb = prob(p.b, &mut probs);
+            match kind {
+                StrategyKind::UncertaintySampling | StrategyKind::StochasticUncertainty => {
+                    binary_entropy(pa) + binary_entropy(pb)
+                }
+                _ => pa.max(1.0 - pa) + pb.max(1.0 - pb),
+            }
+        })
+        .collect()
 }
 
 /// Deterministic top-k by score (ties by candidate order): a bounded
@@ -592,6 +446,7 @@ fn softmax_sample_without_replacement(
 
 #[cfg(test)]
 mod tests {
+    use super::reference::TestCtx;
     use super::*;
     use et_belief::Beta;
     use et_data::table::paper_table1;
@@ -599,29 +454,37 @@ mod tests {
     use rand::SeedableRng;
     use std::sync::Arc;
 
-    fn setup(conf: f64) -> (Table, Belief, Vec<PairExample>) {
-        let t = paper_table1();
-        let space = Arc::new(HypothesisSpace::from_fds([
-            Fd::from_attrs([1], 2),
-            Fd::from_attrs([2, 3], 4),
-        ]));
-        let b = Belief::constant(space, Beta::from_mean_std(conf, 0.05));
+    fn setup(conf: f64) -> (TestCtx, Belief, Vec<PairExample>) {
+        let b = Belief::constant(space(), Beta::from_mean_std(conf, 0.05));
         let pool = vec![
             PairExample::new(0, 1), // violates Team -> City
             PairExample::new(1, 2), // satisfies City,Role -> Apps
             PairExample::new(2, 3), // satisfies Team -> City
         ];
-        (t, b, pool)
+        (TestCtx::new(&paper_table1(), b.space()), b, pool)
     }
 
-    use et_data::Table;
+    fn space() -> Arc<HypothesisSpace> {
+        Arc::new(HypothesisSpace::from_fds([
+            Fd::from_attrs([1], 2),
+            Fd::from_attrs([2, 3], 4),
+        ]))
+    }
+
+    /// A belief undecided about fd0 and near-certain of fd1, over
+    /// Table 1's scoring context.
+    fn skewed() -> (TestCtx, Belief) {
+        let mut b = Belief::constant(space(), Beta::from_mean_std(0.55, 0.05));
+        *b.dist_mut(1) = Beta::from_mean_std(0.98, 0.01);
+        (TestCtx::new(&paper_table1(), b.space()), b)
+    }
 
     #[test]
     fn random_selects_k_distinct() {
         let (t, b, pool) = setup(0.9);
         let s = ResponseStrategy::paper(StrategyKind::Random);
         let mut rng = StdRng::seed_from_u64(1);
-        let picked = s.select(ScoreCtx::new(&t), &b, &pool, 2, &mut rng);
+        let picked = s.select(t.ctx(), &b, &pool, 2, &mut rng);
         assert_eq!(picked.len(), 2);
         assert_ne!(picked[0], picked[1]);
     }
@@ -633,34 +496,22 @@ mod tests {
         // differ: use 0.85 -> violating p=.85 (ent .42), satisfying p=.15
         // (same). Entropies tie... instead compare against an irrelevant-ish
         // candidate through a belief that is confident about one FD only.
-        let t = paper_table1();
-        let space = Arc::new(HypothesisSpace::from_fds([
-            Fd::from_attrs([1], 2),
-            Fd::from_attrs([2, 3], 4),
-        ]));
-        let mut b = Belief::constant(space, Beta::from_mean_std(0.55, 0.05));
         // fd1 very confident -> its satisfying pair (1,2) is low entropy.
-        *b.dist_mut(1) = Beta::from_mean_std(0.98, 0.01);
+        let (t, b) = skewed();
         let pool = vec![PairExample::new(0, 1), PairExample::new(1, 2)];
         let s = ResponseStrategy::paper(StrategyKind::UncertaintySampling);
         let mut rng = StdRng::seed_from_u64(1);
-        let picked = s.select(ScoreCtx::new(&t), &b, &pool, 1, &mut rng);
+        let picked = s.select(t.ctx(), &b, &pool, 1, &mut rng);
         assert_eq!(picked[0], PairExample::new(0, 1), "ambiguous pair first");
     }
 
     #[test]
     fn best_prefers_confident_pairs() {
-        let t = paper_table1();
-        let space = Arc::new(HypothesisSpace::from_fds([
-            Fd::from_attrs([1], 2),
-            Fd::from_attrs([2, 3], 4),
-        ]));
-        let mut b = Belief::constant(space, Beta::from_mean_std(0.55, 0.05));
-        *b.dist_mut(1) = Beta::from_mean_std(0.98, 0.01);
+        let (t, b) = skewed();
         let pool = vec![PairExample::new(0, 1), PairExample::new(1, 2)];
         let s = ResponseStrategy::paper(StrategyKind::Best);
         let mut rng = StdRng::seed_from_u64(1);
-        let picked = s.select(ScoreCtx::new(&t), &b, &pool, 1, &mut rng);
+        let picked = s.select(t.ctx(), &b, &pool, 1, &mut rng);
         assert_eq!(picked[0], PairExample::new(1, 2), "confident pair first");
     }
 
@@ -674,7 +525,7 @@ mod tests {
             let s = ResponseStrategy::paper(kind);
             let run = |seed| {
                 let mut rng = StdRng::seed_from_u64(seed);
-                s.select(ScoreCtx::new(&t), &b, &pool, 2, &mut rng)
+                s.select(t.ctx(), &b, &pool, 2, &mut rng)
             };
             let a = run(5);
             assert_eq!(a.len(), 2);
@@ -686,24 +537,15 @@ mod tests {
     #[test]
     fn low_gamma_approaches_greedy() {
         // StochasticUS with tiny gamma behaves like US (paper §4).
-        let t = paper_table1();
-        let space = Arc::new(HypothesisSpace::from_fds([
-            Fd::from_attrs([1], 2),
-            Fd::from_attrs([2, 3], 4),
-        ]));
-        let mut b = Belief::constant(space, Beta::from_mean_std(0.55, 0.05));
-        *b.dist_mut(1) = Beta::from_mean_std(0.98, 0.01);
+        let (t, b) = skewed();
         let pool = vec![PairExample::new(0, 1), PairExample::new(1, 2)];
         let greedy = ResponseStrategy::paper(StrategyKind::UncertaintySampling);
         let stochastic = ResponseStrategy::new(StrategyKind::StochasticUncertainty, 1e-3);
         let mut rng = StdRng::seed_from_u64(3);
-        let g = greedy.select(ScoreCtx::new(&t), &b, &pool, 1, &mut rng);
+        let g = greedy.select(t.ctx(), &b, &pool, 1, &mut rng);
         for seed in 0..10 {
             let mut rng = StdRng::seed_from_u64(seed);
-            assert_eq!(
-                stochastic.select(ScoreCtx::new(&t), &b, &pool, 1, &mut rng),
-                g
-            );
+            assert_eq!(stochastic.select(t.ctx(), &b, &pool, 1, &mut rng), g);
         }
     }
 
@@ -718,7 +560,7 @@ mod tests {
             StrategyKind::Best,
         ] {
             let s = ResponseStrategy::paper(kind);
-            let d = s.policy_distribution(ScoreCtx::new(&t), &b, &pool, 2);
+            let d = s.policy_distribution(t.ctx(), &b, &pool, 2);
             let sum: f64 = d.iter().sum();
             assert!((sum - 1.0).abs() < 1e-9, "{kind:?} sums to {sum}");
             assert!(d.iter().all(|&p| p >= 0.0));
@@ -729,13 +571,7 @@ mod tests {
     fn high_gamma_flattens_softmax() {
         // Need pairs with *different* confidence scores: make one FD much
         // more decided than the other.
-        let t = paper_table1();
-        let space = Arc::new(HypothesisSpace::from_fds([
-            Fd::from_attrs([1], 2),
-            Fd::from_attrs([2, 3], 4),
-        ]));
-        let mut b = Belief::constant(space, Beta::from_mean_std(0.55, 0.05));
-        *b.dist_mut(1) = Beta::from_mean_std(0.98, 0.01);
+        let (t, b) = skewed();
         let pool = vec![
             PairExample::new(0, 1),
             PairExample::new(1, 2),
@@ -743,8 +579,8 @@ mod tests {
         ];
         let sharp = ResponseStrategy::new(StrategyKind::StochasticBestResponse, 0.05);
         let flat = ResponseStrategy::new(StrategyKind::StochasticBestResponse, 50.0);
-        let ds = sharp.policy_distribution(ScoreCtx::new(&t), &b, &pool, 2);
-        let df = flat.policy_distribution(ScoreCtx::new(&t), &b, &pool, 2);
+        let ds = sharp.policy_distribution(t.ctx(), &b, &pool, 2);
+        let df = flat.policy_distribution(t.ctx(), &b, &pool, 2);
         let spread = |d: &[f64]| {
             d.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
                 - d.iter().cloned().fold(f64::INFINITY, f64::min)
@@ -759,7 +595,7 @@ mod tests {
         let (t, b, pool) = setup(0.7);
         let s = ResponseStrategy::paper(StrategyKind::ThompsonSampling);
         let mut rng = StdRng::seed_from_u64(4);
-        assert_eq!(s.select(ScoreCtx::new(&t), &b, &pool, 2, &mut rng).len(), 2);
+        assert_eq!(s.select(t.ctx(), &b, &pool, 2, &mut rng).len(), 2);
     }
 
     #[test]
@@ -767,16 +603,14 @@ mod tests {
         let (t, b, pool) = setup(0.8);
         let s = ResponseStrategy::paper(StrategyKind::Random);
         let mut rng = StdRng::seed_from_u64(2);
-        assert_eq!(
-            s.select(ScoreCtx::new(&t), &b, &pool, 99, &mut rng).len(),
-            pool.len()
-        );
-        assert!(s.select(ScoreCtx::new(&t), &b, &[], 2, &mut rng).is_empty());
+        assert_eq!(s.select(t.ctx(), &b, &pool, 99, &mut rng).len(), pool.len());
+        assert!(s.select(t.ctx(), &b, &[], 2, &mut rng).is_empty());
     }
 }
 
 #[cfg(test)]
 mod extension_tests {
+    use super::reference::TestCtx;
     use super::*;
     use et_belief::{Belief, Beta};
     use et_data::table::paper_table1;
@@ -785,8 +619,7 @@ mod extension_tests {
     use rand::SeedableRng;
     use std::sync::Arc;
 
-    fn setup() -> (et_data::Table, Belief, Vec<PairExample>) {
-        let t = paper_table1();
+    fn setup() -> (TestCtx, Belief, Vec<PairExample>) {
         let space = Arc::new(HypothesisSpace::from_fds([
             Fd::from_attrs([1], 2),
             Fd::from_attrs([2, 3], 4),
@@ -797,7 +630,7 @@ mod extension_tests {
             PairExample::new(1, 2),
             PairExample::new(2, 3),
         ];
-        (t, b, pool)
+        (TestCtx::new(&paper_table1(), b.space()), b, pool)
     }
 
     #[test]
@@ -807,7 +640,7 @@ mod extension_tests {
         // nothing (no other violating pair exists), but its raw score drops.
         let s = ResponseStrategy::paper(StrategyKind::CommitteeDisagreement);
         let mut rng = StdRng::seed_from_u64(1);
-        let picked = s.select(ScoreCtx::new(&t), &b, &pool, 1, &mut rng);
+        let picked = s.select(t.ctx(), &b, &pool, 1, &mut rng);
         assert_eq!(
             picked[0],
             PairExample::new(0, 1),
@@ -815,7 +648,7 @@ mod extension_tests {
         );
         // With a near-certain belief in fd0, disagreement collapses.
         *b.dist_mut(0) = Beta::new(500.0, 1.0);
-        let scores_sharp = s.policy_distribution(ScoreCtx::new(&t), &b, &pool, 1);
+        let scores_sharp = s.policy_distribution(t.ctx(), &b, &pool, 1);
         // Policy still selects one pair, but the winner is unchanged
         // (ties fall to candidate order); the invariant we check is
         // validity of the distribution.
@@ -832,7 +665,7 @@ mod extension_tests {
         let s = ResponseStrategy::paper(StrategyKind::DensityWeightedUncertainty);
         let mut rng = StdRng::seed_from_u64(2);
         let picked = s.select(
-            ScoreCtx::new(&t),
+            t.ctx(),
             &b,
             &[PairExample::new(0, 1), PairExample::new(2, 3)],
             2,
@@ -853,10 +686,219 @@ mod extension_tests {
             let mut r2 = StdRng::seed_from_u64(99);
             // Deterministic strategies ignore the RNG entirely.
             assert_eq!(
-                s.select(ScoreCtx::new(&t), &b, &pool, 2, &mut r1),
-                s.select(ScoreCtx::new(&t), &b, &pool, 2, &mut r2),
+                s.select(t.ctx(), &b, &pool, 2, &mut r1),
+                s.select(t.ctx(), &b, &pool, 2, &mut r2),
                 "{kind:?}"
             );
+        }
+    }
+}
+
+/// Test oracle: the per-pair raw-cell scoring that the relation matrix and
+/// delta scorer replaced. Every score is recomputed from the table, pair
+/// by pair, from the paper's §2 definitions; the proptest below pins the
+/// production [`ResponseStrategy::scores`] to it bit for bit.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use crate::payoff::{example_confidence, example_uncertainty};
+    use et_data::Table;
+    use et_fd::{HypothesisSpace, PairRelation, SpaceRelations};
+
+    /// A scoring context over every pair of a table: the dataset-wide
+    /// violation index and a cold delta scorer over the all-pairs matrix.
+    pub(crate) struct TestCtx {
+        pub(crate) index: ViolationIndex,
+        pub(crate) scorer: RefCell<DeltaScorer>,
+    }
+
+    impl TestCtx {
+        pub(crate) fn new(table: &Table, space: &HypothesisSpace) -> Self {
+            let n = table.nrows();
+            let pairs: Vec<(usize, usize)> = (0..n)
+                .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
+                .collect();
+            let cache = et_fd::PartitionCache::new(table);
+            let matrix = RelationMatrix::build(table, space, &cache, &pairs);
+            Self {
+                index: ViolationIndex::build_with(table, space, &cache),
+                scorer: RefCell::new(DeltaScorer::new(std::sync::Arc::new(matrix))),
+            }
+        }
+
+        pub(crate) fn ctx(&self) -> ScoreCtx<'_> {
+            ScoreCtx {
+                index: &self.index,
+                scorer: &self.scorer,
+            }
+        }
+    }
+
+    /// [`ResponseStrategy::scores`] from raw cells.
+    pub(crate) fn scores(
+        s: &ResponseStrategy,
+        table: &Table,
+        index: &ViolationIndex,
+        belief: &Belief,
+        candidates: &[PairExample],
+        thompson_draw: Option<&[f64]>,
+    ) -> Vec<f64> {
+        if matches!(s.kind, StrategyKind::Random) {
+            return vec![0.0; candidates.len()];
+        }
+        if matches!(s.kind, StrategyKind::CommitteeDisagreement) {
+            let rel = SpaceRelations::new(belief.space());
+            return candidates
+                .iter()
+                .map(|p| {
+                    (0..rel.len())
+                        .filter(|&fi| rel.relation(table, fi, p.a, p.b) == PairRelation::Violates)
+                        .map(|fi| belief.dist(fi).variance())
+                        .sum()
+                })
+                .collect();
+        }
+        if matches!(s.kind, StrategyKind::DensityWeightedUncertainty) {
+            let n_fds = belief.len().max(1) as f64;
+            let rel = SpaceRelations::new(belief.space());
+            return candidates
+                .iter()
+                .map(|&p| {
+                    let relevant = (0..rel.len())
+                        .filter(|&fi| rel.relation(table, fi, p.a, p.b) != PairRelation::Irrelevant)
+                        .count() as f64;
+                    example_uncertainty(table, belief, p) * (relevant / n_fds)
+                })
+                .collect();
+        }
+        let conf_holder;
+        let conf: &[f64] = match thompson_draw {
+            Some(d) => d,
+            None => {
+                conf_holder = belief.confidences();
+                &conf_holder
+            }
+        };
+        match s.basis {
+            ScoreBasis::DatasetTuple => {
+                let params = DetectParams::default();
+                candidates
+                    .iter()
+                    .map(|p| {
+                        let pa = tuple_dirty_prob_with(index, conf, p.a, &params);
+                        let pb = tuple_dirty_prob_with(index, conf, p.b, &params);
+                        match s.kind {
+                            StrategyKind::UncertaintySampling
+                            | StrategyKind::StochasticUncertainty => {
+                                binary_entropy(pa) + binary_entropy(pb)
+                            }
+                            _ => pa.max(1.0 - pa) + pb.max(1.0 - pb),
+                        }
+                    })
+                    .collect()
+            }
+            ScoreBasis::PairLocal => candidates
+                .iter()
+                .map(|&p| match s.kind {
+                    StrategyKind::UncertaintySampling | StrategyKind::StochasticUncertainty => {
+                        example_uncertainty(table, belief, p)
+                    }
+                    _ if thompson_draw.is_some() => {
+                        let (pa, pb) =
+                            et_fd::pair_dirty_probs(table, belief.space(), conf, p.a, p.b);
+                        pa.max(1.0 - pa) + pb.max(1.0 - pb)
+                    }
+                    _ => example_confidence(table, belief, p),
+                })
+                .collect(),
+        }
+    }
+
+    mod props {
+        use super::*;
+        use crate::candidates::CandidatePool;
+        use et_belief::Beta;
+        use et_data::Schema;
+        use et_fd::Fd;
+        use proptest::prelude::*;
+        use std::sync::Arc;
+
+        const ALL_KINDS: [StrategyKind; 8] = [
+            StrategyKind::Random,
+            StrategyKind::UncertaintySampling,
+            StrategyKind::StochasticBestResponse,
+            StrategyKind::StochasticUncertainty,
+            StrategyKind::Best,
+            StrategyKind::ThompsonSampling,
+            StrategyKind::CommitteeDisagreement,
+            StrategyKind::DensityWeightedUncertainty,
+        ];
+
+        fn table_of(rows: &[(u8, u8, u8)]) -> Table {
+            let mut b = Table::builder(Schema::new(["x", "y", "a"]));
+            for (x, y, a) in rows {
+                b.push_row(&[format!("x{x}"), format!("y{y}"), format!("a{a}")]);
+            }
+            b.finish()
+        }
+
+        fn space() -> Arc<HypothesisSpace> {
+            Arc::new(HypothesisSpace::from_fds([
+                Fd::from_attrs([0], 2),
+                Fd::from_attrs([0], 1),
+                Fd::from_attrs([0, 1], 2),
+                Fd::from_attrs([1], 0),
+                Fd::from_attrs([1, 2], 0),
+            ]))
+        }
+
+        fn bits(xs: &[f64]) -> Vec<u64> {
+            xs.iter().map(|x| x.to_bits()).collect()
+        }
+
+        proptest! {
+            /// Production scores equal the oracle's, bit for bit, for every
+            /// strategy kind and score basis, under posterior-mean and
+            /// Thompson-draw confidences, through a cold scorer and through
+            /// a warm one whose slots were filled under a different belief
+            /// (so its answers come from the delta path).
+            #[test]
+            fn production_scores_equal_reference(
+                rows in proptest::collection::vec((0u8..4, 0u8..3, 0u8..3), 4..32),
+                beta in proptest::collection::vec(0.6f64..8.0, 10),
+                draw in proptest::collection::vec(0.0f64..1.0, 5),
+                nudge in 0.0f64..1.0,
+            ) {
+                let t = table_of(&rows);
+                let sp = space();
+                let mut belief = Belief::constant(sp.clone(), Beta::new(1.0, 1.0));
+                for i in 0..sp.len() {
+                    *belief.dist_mut(i) = Beta::new(beta[2 * i], beta[2 * i + 1]);
+                }
+                let candidates = CandidatePool::build(&t, &sp, 200, 1).pairs().to_vec();
+                let warm = TestCtx::new(&t, &sp);
+                {
+                    let mut conf = belief.confidences();
+                    conf[0] = nudge;
+                    let mut s = warm.scorer.borrow_mut();
+                    let _ = s.scores_for(&conf, &DetectParams::unsmoothed());
+                    let _ = s.scores_for(&conf, &DetectParams::default());
+                }
+                for kind in ALL_KINDS {
+                    for basis in [ScoreBasis::PairLocal, ScoreBasis::DatasetTuple] {
+                        for d in [None, Some(&draw[..])] {
+                            let s = ResponseStrategy::paper(kind).with_basis(basis);
+                            let want = scores(&s, &t, &warm.index, &belief, &candidates, d);
+                            let cold = TestCtx::new(&t, &sp);
+                            for (label, ctx) in [("cold", cold.ctx()), ("warm", warm.ctx())] {
+                                let got = s.scores(ctx, &belief, &candidates, d);
+                                prop_assert_eq!(bits(&got), bits(&want),
+                                    "{} {:?} draw={} {}", kind.as_str(), basis, d.is_some(), label);
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 }

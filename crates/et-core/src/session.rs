@@ -388,9 +388,6 @@ pub struct SessionState {
     /// single-threaded; never persisted (pure cache, bit-identical to the
     /// full rescore, so recovery just re-warms it).
     scorer: OnceLock<std::cell::RefCell<et_fd::DeltaScorer>>,
-    /// When false, strategies score via the per-call reference path
-    /// (parity tests, baseline benchmarks).
-    use_matrix: bool,
     pub(crate) metrics: Vec<IterationMetrics>,
     pub(crate) history: Vec<Interaction>,
     pub(crate) prev_trainer: Vec<f64>,
@@ -485,7 +482,6 @@ impl SessionState {
             pool,
             matrix: OnceLock::new(),
             scorer: OnceLock::new(),
-            use_matrix: true,
             metrics,
             history,
             prev_trainer,
@@ -593,23 +589,11 @@ impl SessionState {
     /// shared from then on.
     pub fn relation_matrix(&self) -> Arc<RelationMatrix> {
         Arc::clone(self.matrix.get_or_init(|| {
-            let pairs: Vec<(usize, usize)> = self.pool.pairs().iter().map(|p| (p.a, p.b)).collect();
-            Arc::new(RelationMatrix::build(
-                &self.table,
-                &self.space,
-                &self.cache,
-                &pairs,
-            ))
+            Arc::new(
+                self.pool
+                    .relation_matrix(&self.table, &self.space, &self.cache),
+            )
         }))
-    }
-
-    /// Disables the matrix fast path: strategies score through the per-call
-    /// reference implementation instead. Used by parity tests and baseline
-    /// benchmarks; results are bit-identical either way.
-    #[must_use]
-    pub fn with_reference_scoring(mut self) -> Self {
-        self.use_matrix = false;
-        self
     }
 
     /// The configuration.
@@ -657,19 +641,12 @@ impl SessionState {
         if self.is_complete() {
             return Ok(None);
         }
-        let matrix = if self.use_matrix {
-            Some(self.relation_matrix())
-        } else {
-            None
+        let ctx = ScoreCtx {
+            index: &self.score_index,
+            scorer: self.scorer.get_or_init(|| {
+                std::cell::RefCell::new(et_fd::DeltaScorer::new(self.relation_matrix()))
+            }),
         };
-        let mut ctx = ScoreCtx::new(&self.table).with_index(&self.score_index);
-        if let Some(m) = matrix.as_ref() {
-            ctx = ctx.with_matrix(m);
-            let cell = self
-                .scorer
-                .get_or_init(|| std::cell::RefCell::new(et_fd::DeltaScorer::new(Arc::clone(m))));
-            ctx = ctx.with_scorer(cell);
-        }
         // One fresh-candidate enumeration serves both the policy accounting
         // and the selection (the shown-set only grows inside `select_from`).
         let fresh = self.pool.fresh(learner.shown());
@@ -1204,69 +1181,6 @@ mod tests {
         for (a, b) in batch.history.iter().zip(&stepped.history) {
             assert_eq!(a.sample, b.sample);
             assert_eq!(a.labels, b.labels);
-        }
-    }
-
-    #[test]
-    fn matrix_scoring_is_bit_identical_to_reference() {
-        // Every strategy kind, matrix fast path (the batch default) vs the
-        // per-call reference path (`with_reference_scoring`): same
-        // selections, same labels, same metrics, bit for bit.
-        let (table, dirty, space) = fixture();
-        let cfg = SessionConfig {
-            iterations: 12,
-            ..SessionConfig::default()
-        };
-        for kind in StrategyKind::PAPER_METHODS
-            .into_iter()
-            .chain(StrategyKind::EXTENSIONS)
-        {
-            let run = |reference: bool| {
-                let (mut trainer, mut learner) = agents(kind, &table, &space);
-                let mut st = SessionState::new(
-                    table.clone(),
-                    space.clone(),
-                    &dirty,
-                    cfg.clone(),
-                    &trainer,
-                    &learner,
-                )
-                .expect("valid config");
-                if reference {
-                    st = st.with_reference_scoring();
-                }
-                while st.present(&mut learner).expect("in phase").is_some() {
-                    let labels = st.label_pending(&mut trainer).expect("pending");
-                    let _ = st
-                        .apply_labels(&trainer, &mut learner, &labels)
-                        .expect("aligned");
-                }
-                st.into_result()
-            };
-            let fast = run(false);
-            let reference = run(true);
-            assert_eq!(
-                fast.mae_series(),
-                reference.mae_series(),
-                "{}: MAE series diverged",
-                kind.as_str()
-            );
-            assert_eq!(fast.learner_confidences, reference.learner_confidences);
-            assert_eq!(fast.trainer_confidences, reference.trainer_confidences);
-            assert_eq!(fast.history.len(), reference.history.len());
-            for (a, b) in fast.history.iter().zip(&reference.history) {
-                assert_eq!(a.selected, b.selected, "{}: selections", kind.as_str());
-                assert_eq!(a.sample, b.sample);
-                assert_eq!(a.labels, b.labels);
-            }
-            for (a, b) in fast.metrics.iter().zip(&reference.metrics) {
-                assert_eq!(
-                    a.policy_entropy.to_bits(),
-                    b.policy_entropy.to_bits(),
-                    "{}: policy entropy",
-                    kind.as_str()
-                );
-            }
         }
     }
 

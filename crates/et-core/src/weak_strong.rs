@@ -9,10 +9,11 @@
 //! escalation. Both trainers may themselves be learning (exploratory)
 //! annotators.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use et_data::{split_rows, Table};
-use et_fd::{predict_labels, HypothesisSpace, PartitionCache, RelationMatrix, ViolationIndex};
+use et_fd::{predict_labels, DeltaScorer, HypothesisSpace, PartitionCache, ViolationIndex};
 use et_metrics::ConfusionMatrix;
 
 use crate::candidates::CandidatePool;
@@ -128,19 +129,21 @@ pub fn run_weak_strong(
             .filter(|p| in_train[p.a] && in_train[p.b])
             .collect(),
     );
-    // Round-invariant relations over the pool: precompute once, score every
-    // iteration from the packed matrix.
-    let pool_pairs: Vec<(usize, usize)> = pool.pairs().iter().map(|p| (p.a, p.b)).collect();
-    let matrix = RelationMatrix::build(table, &space, &cache, &pool_pairs);
+    // Round-invariant relations over the pool: precompute once, rescore
+    // only what each iteration's belief update changed.
+    let scorer = RefCell::new(DeltaScorer::new(Arc::new(
+        pool.relation_matrix(table, &space, &cache),
+    )));
+    let ctx = ScoreCtx {
+        index: &score_index,
+        scorer: &scorer,
+    };
 
     let mut iterations = Vec::with_capacity(cfg.iterations);
     let mut weak_only = 0;
     let mut escalations = 0;
 
     for t in 0..cfg.iterations {
-        let ctx = ScoreCtx::new(table)
-            .with_index(&score_index)
-            .with_matrix(&matrix);
         let pairs = learner.select(ctx, &pool, cfg.pairs_per_iteration);
         if pairs.is_empty() {
             break;

@@ -5,9 +5,9 @@
 //!   full-sort selection for arbitrary score vectors, including NaN,
 //!   infinities and signed zeros;
 //! * every [`StrategyKind`] must pick the same pairs — and consume the
-//!   same RNG draws — whether it scores through a plain
-//!   [`RelationMatrix`] or through a warm [`DeltaScorer`] attached to the
-//!   [`ScoreCtx`], so the cache can never change a session's trajectory.
+//!   same RNG draws — whether its [`ScoreCtx`] carries a cold
+//!   [`DeltaScorer`] (one full fold) or a warm one (delta re-fold of
+//!   cached scores), so the cache can never change a session's trajectory.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use et_belief::{Belief, Beta};
 use et_core::{top_k_indices, CandidatePool, ResponseStrategy, ScoreCtx, StrategyKind};
 use et_data::{Schema, Table};
-use et_fd::{DeltaScorer, DetectParams, Fd, HypothesisSpace, PartitionCache, RelationMatrix};
+use et_fd::{DeltaScorer, DetectParams, Fd, HypothesisSpace, PartitionCache, ViolationIndex};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -92,12 +92,13 @@ proptest! {
     }
 
     /// Every strategy kind selects the same pairs — consuming identical
-    /// RNG draws — through a plain matrix and through a warm
-    /// [`DeltaScorer`], and reports the same policy distribution. The
-    /// scorer is pre-driven through a nudged confidence so the measured
-    /// call takes the delta path, not a cold full fold.
+    /// RNG draws — through a cold and through a warm [`DeltaScorer`], and
+    /// reports the same policy distribution. The warm scorer is pre-driven
+    /// through a nudged confidence so the measured call takes the delta
+    /// path; the cold one is rebuilt per call, so it always runs the full
+    /// fold.
     #[test]
-    fn scorer_attached_select_equals_plain_matrix(
+    fn warm_scorer_select_equals_cold_scorer(
         rows in arb_rows(),
         a in 0.6f64..8.0,
         b in 0.6f64..8.0,
@@ -110,40 +111,44 @@ proptest! {
         let pool = CandidatePool::build(&t, &sp, 200, 1);
         let fresh: Vec<_> = pool.pairs().to_vec();
         prop_assume!(!fresh.is_empty());
-        let pairs: Vec<(usize, usize)> = fresh.iter().map(|p| (p.a, p.b)).collect();
-        let m = Arc::new(RelationMatrix::build(&t, &sp, &cache, &pairs));
+        let m = Arc::new(pool.relation_matrix(&t, &sp, &cache));
+        let index = ViolationIndex::build_with(&t, &sp, &cache);
         let belief = Belief::constant(sp.clone(), Beta::new(a, b));
 
-        let cell = RefCell::new(DeltaScorer::new(Arc::clone(&m)));
+        let warm = RefCell::new(DeltaScorer::new(Arc::clone(&m)));
         {
             // Warm both parameterisations with a nudged confidence vector:
             // the selects below then hit existing slots and re-fold only
             // the factor diff.
-            let mut warm = belief.confidences();
-            warm[0] = (warm[0] * 0.5 + 0.1).min(1.0);
-            let mut s = cell.borrow_mut();
-            let _ = s.scores_for(&warm, &DetectParams::unsmoothed());
-            let _ = s.scores_for(&warm, &DetectParams::default());
+            let mut nudged = belief.confidences();
+            nudged[0] = (nudged[0] * 0.5 + 0.1).min(1.0);
+            let mut s = warm.borrow_mut();
+            let _ = s.scores_for(&nudged, &DetectParams::unsmoothed());
+            let _ = s.scores_for(&nudged, &DetectParams::default());
         }
+        let warm_ctx = ScoreCtx { index: &index, scorer: &warm };
+        let cold = || RefCell::new(DeltaScorer::new(Arc::clone(&m)));
 
         for kind in ALL_KINDS {
             let strategy = ResponseStrategy::paper(kind);
-            let plain_ctx = ScoreCtx::new(&t).with_matrix(&m);
-            let scorer_ctx = ScoreCtx::new(&t).with_matrix(&m).with_scorer(&cell);
 
-            let mut rng_plain = StdRng::seed_from_u64(seed);
-            let mut rng_scorer = StdRng::seed_from_u64(seed);
-            let picked_plain = strategy.select(plain_ctx, &belief, &fresh, k, &mut rng_plain);
-            let picked_scorer = strategy.select(scorer_ctx, &belief, &fresh, k, &mut rng_scorer);
-            prop_assert_eq!(picked_plain, picked_scorer,
-                "{}: selections diverged with scorer attached", kind.as_str());
+            let mut rng_cold = StdRng::seed_from_u64(seed);
+            let mut rng_warm = StdRng::seed_from_u64(seed);
+            let cold_scorer = cold();
+            let cold_ctx = ScoreCtx { index: &index, scorer: &cold_scorer };
+            let picked_cold = strategy.select(cold_ctx, &belief, &fresh, k, &mut rng_cold);
+            let picked_warm = strategy.select(warm_ctx, &belief, &fresh, k, &mut rng_warm);
+            prop_assert_eq!(picked_cold, picked_warm,
+                "{}: selections diverged between cold and warm scorer", kind.as_str());
             // Same residual RNG state: neither path may consume extra draws.
-            prop_assert_eq!(rng_plain.state(), rng_scorer.state(),
+            prop_assert_eq!(rng_cold.state(), rng_warm.state(),
                 "{}: RNG draw streams diverged", kind.as_str());
 
-            let dist_plain = strategy.policy_distribution(plain_ctx, &belief, &fresh, k);
-            let dist_scorer = strategy.policy_distribution(scorer_ctx, &belief, &fresh, k);
-            for (i, (x, y)) in dist_plain.iter().zip(&dist_scorer).enumerate() {
+            let cold_scorer = cold();
+            let cold_ctx = ScoreCtx { index: &index, scorer: &cold_scorer };
+            let dist_cold = strategy.policy_distribution(cold_ctx, &belief, &fresh, k);
+            let dist_warm = strategy.policy_distribution(warm_ctx, &belief, &fresh, k);
+            for (i, (x, y)) in dist_cold.iter().zip(&dist_warm).enumerate() {
                 prop_assert_eq!(x.to_bits(), y.to_bits(),
                     "{}: policy weight {} diverged", kind.as_str(), i);
             }

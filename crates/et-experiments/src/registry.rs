@@ -994,18 +994,8 @@ fn run_fig2_participants(opts: &RunOptions) -> ExperimentOutput {
 fn run_drift(opts: &RunOptions) -> ExperimentOutput {
     use et_core::trainer::Trainer;
     use et_core::{sample_rows, CandidatePool, Learner, ScoreCtx};
-    use et_fd::{PartitionCache, RelationMatrix, ViolationIndex};
-
-    /// The round-invariant relation matrix of one table phase's pool.
-    fn pool_matrix(
-        table: &et_data::Table,
-        space: &HypothesisSpace,
-        cache: &PartitionCache,
-        pool: &CandidatePool,
-    ) -> RelationMatrix {
-        let pairs: Vec<(usize, usize)> = pool.pairs().iter().map(|p| (p.a, p.b)).collect();
-        RelationMatrix::build(table, space, cache, &pairs)
-    }
+    use et_fd::{DeltaScorer, PartitionCache, ViolationIndex};
+    use std::cell::RefCell;
 
     let iterations = opts.iterations.max(45);
     let shift_at = iterations / 3;
@@ -1057,7 +1047,9 @@ fn run_drift(opts: &RunOptions) -> ExperimentOutput {
         let mut table = ds.table.clone();
         let mut cache = Arc::new(PartitionCache::new(&table));
         let mut pool = CandidatePool::build_with(&table, &space, &cache, 4000, 1);
-        let mut matrix = pool_matrix(&table, &space, &cache, &pool);
+        let mut scorer = RefCell::new(DeltaScorer::new(Arc::new(
+            pool.relation_matrix(&table, &space, &cache),
+        )));
         let mut index = ViolationIndex::build_with(&table, &space, &cache);
         let mut trainer = trainer.with_cache(Arc::clone(&cache));
         let mut pre_shift_mae = 0.0;
@@ -1079,13 +1071,16 @@ fn run_drift(opts: &RunOptions) -> ExperimentOutput {
                 table = ds2.table;
                 cache = Arc::new(PartitionCache::new(&table));
                 pool = CandidatePool::build_with(&table, &space, &cache, 4000, 2);
-                matrix = pool_matrix(&table, &space, &cache, &pool);
+                scorer = RefCell::new(DeltaScorer::new(Arc::new(
+                    pool.relation_matrix(&table, &space, &cache),
+                )));
                 index = ViolationIndex::build_with(&table, &space, &cache);
                 trainer = trainer.with_cache(Arc::clone(&cache));
             }
-            let ctx = ScoreCtx::new(&table)
-                .with_index(&index)
-                .with_matrix(&matrix);
+            let ctx = ScoreCtx {
+                index: &index,
+                scorer: &scorer,
+            };
             let pairs = learner.select(ctx, &pool, 5);
             if pairs.is_empty() {
                 break;

@@ -69,8 +69,7 @@ impl DeltaScorer {
         }
     }
 
-    /// The matrix this scorer caches over (identity-checked by callers
-    /// that carry their own matrix reference).
+    /// The matrix this scorer caches over.
     pub fn matrix(&self) -> &RelationMatrix {
         &self.matrix
     }
@@ -88,6 +87,20 @@ impl DeltaScorer {
     /// Panics when `confidences` does not have one entry per FD of the
     /// underlying matrix.
     pub fn scores_for(&mut self, confidences: &[f64], params: &DetectParams) -> &PairScores {
+        self.scored(confidences, params).1
+    }
+
+    /// [`DeltaScorer::scores_for`] together with the matrix the scores are
+    /// indexed by, so a caller can map pairs to ids while holding the
+    /// scores.
+    ///
+    /// # Panics
+    /// As [`DeltaScorer::scores_for`].
+    pub fn scored(
+        &mut self,
+        confidences: &[f64],
+        params: &DetectParams,
+    ) -> (&RelationMatrix, &PairScores) {
         violation_factors_into(confidences, params, &mut self.scratch_factors);
         if let Some(i) = self.slots.iter().position(|s| s.params == *params) {
             let slot = &mut self.slots[i];
@@ -105,7 +118,7 @@ impl DeltaScorer {
                 );
                 slot.factors.copy_from_slice(&self.scratch_factors);
             }
-            return &self.slots[i].scores;
+            return (&self.matrix, &self.slots[i].scores);
         }
         // Cold slot: one full pass, then cached. Bounded allocation — at
         // most MAX_SLOTS slots per scorer lifetime at any moment.
@@ -123,7 +136,7 @@ impl DeltaScorer {
         });
         // Index, not `last()`: the push above makes the slot list non-empty
         // and keeps this branch free of unwrap/expect.
-        &self.slots[self.slots.len() - 1].scores
+        (&self.matrix, &self.slots[self.slots.len() - 1].scores)
     }
 }
 

@@ -123,7 +123,10 @@ impl Client {
     pub fn create_session(&mut self, spec: &CreateSessionSpec) -> Result<(u64, u64), ClientError> {
         let v = self.call(&Request::Create(spec.clone()))?;
         let session = field_u64(&v, "session")?;
-        let seed = field_u64(&v, "seed")?;
+        let seed = v
+            .get("seed")
+            .and_then(Json::as_u64_or_decimal)
+            .ok_or_else(|| ClientError::Protocol("reply missing \"seed\"".to_string()))?;
         Ok((session, seed))
     }
 

@@ -107,6 +107,17 @@ impl Json {
         }
     }
 
+    /// A 64-bit value such as a seed: a decimal string (exact for every
+    /// `u64`) or an exact-integer number ([`Json::as_u64`]).
+    pub fn as_u64_or_decimal(&self) -> Option<u64> {
+        match self {
+            Json::Str(s) if !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit()) => {
+                s.parse().ok()
+            }
+            _ => self.as_u64(),
+        }
+    }
+
     /// The string value, when this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {

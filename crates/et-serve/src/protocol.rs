@@ -306,7 +306,7 @@ impl Request {
                     ("test_frac", Json::Num(spec.test_frac)),
                 ];
                 if let Some(seed) = spec.seed {
-                    members.push(("seed", Json::Num(seed as f64)));
+                    members.push(("seed", seed_json(seed)));
                 }
                 Json::obj(members)
             }
@@ -417,8 +417,22 @@ fn parse_create(v: &Json) -> Result<CreateSessionSpec, (ErrorCode, String)> {
     if let Some(test_frac) = optional_f64(v, "test_frac")? {
         spec.test_frac = test_frac;
     }
-    spec.seed = optional_u64(v, "seed")?;
+    spec.seed = match v.get("seed") {
+        None | Some(Json::Null) => None,
+        Some(member) => Some(member.as_u64_or_decimal().ok_or_else(|| {
+            (
+                ErrorCode::BadRequest,
+                "\"seed\" must be a non-negative integer or its decimal string".to_string(),
+            )
+        })?),
+    };
     Ok(spec)
+}
+
+/// Seeds travel as decimal strings: a JSON number is an `f64` and carries
+/// only 53 bits exactly, while server-derived seeds use all 64.
+fn seed_json(seed: u64) -> Json {
+    Json::Str(seed.to_string())
 }
 
 fn metrics_to_json(m: &IterationMetrics) -> Json {
@@ -466,7 +480,7 @@ impl Response {
                     ("rows", Json::Num(*rows as f64)),
                     ("fds", Json::Num(*fds as f64)),
                     ("iterations", Json::Num(*iterations as f64)),
-                    ("seed", Json::Num(*seed as f64)),
+                    ("seed", seed_json(*seed)),
                 ],
             ),
             Response::Pairs {
@@ -621,18 +635,44 @@ mod tests {
             test_frac: 0.25,
             seed: Some(99),
         };
-        let line = Request::Create(spec.clone()).to_json().encode();
-        let Ok(Request::Create(parsed)) = Request::parse_line(&line) else {
-            panic!("create should re-parse: {line}");
+        let derived = crate::spec::derive_seed(0x5EED, 7);
+        for seed in [Some(99), Some(u64::MAX), Some(derived), None] {
+            let spec = CreateSessionSpec {
+                seed,
+                ..spec.clone()
+            };
+            let line = Request::Create(spec.clone()).to_json().encode();
+            let Ok(Request::Create(parsed)) = Request::parse_line(&line) else {
+                panic!("create should re-parse: {line}");
+            };
+            assert_eq!(parsed.dataset.as_str(), spec.dataset.as_str());
+            assert_eq!(parsed.rows, spec.rows);
+            assert_eq!(parsed.degree, spec.degree);
+            assert_eq!(parsed.strategy, spec.strategy);
+            assert_eq!(parsed.iterations, spec.iterations);
+            assert_eq!(parsed.pairs_per_iteration, spec.pairs_per_iteration);
+            assert_eq!(parsed.test_frac, spec.test_frac);
+            assert_eq!(parsed.seed, spec.seed);
+        }
+        // The reply echoes every seed exactly, and a seed sent as a JSON
+        // number still parses when it is an exact integer.
+        for seed in [u64::MAX, derived] {
+            let reply = Response::Created {
+                session: 1,
+                rows: 1,
+                fds: 1,
+                iterations: 1,
+                seed,
+            }
+            .encode();
+            let v = Json::parse(&reply).expect("reply is JSON");
+            assert_eq!(v.get("seed").and_then(Json::as_u64_or_decimal), Some(seed));
+        }
+        let numeric = "{\"op\":\"create_session\",\"seed\":9007199254740991}";
+        let Ok(Request::Create(parsed)) = Request::parse_line(numeric) else {
+            panic!("numeric seed should parse");
         };
-        assert_eq!(parsed.dataset.as_str(), spec.dataset.as_str());
-        assert_eq!(parsed.rows, spec.rows);
-        assert_eq!(parsed.degree, spec.degree);
-        assert_eq!(parsed.strategy, spec.strategy);
-        assert_eq!(parsed.iterations, spec.iterations);
-        assert_eq!(parsed.pairs_per_iteration, spec.pairs_per_iteration);
-        assert_eq!(parsed.test_frac, spec.test_frac);
-        assert_eq!(parsed.seed, spec.seed);
+        assert_eq!(parsed.seed, Some((1 << 53) - 1));
     }
 
     #[test]

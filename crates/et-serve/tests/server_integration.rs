@@ -10,8 +10,8 @@ use std::time::Duration;
 
 use et_core::StrategyKind;
 use et_serve::{
-    run_batch, spawn, Client, ClientError, CreateSessionSpec, ErrorCode, Json, ServerConfig,
-    StoreConfig,
+    derive_seed, run_batch, spawn, Client, ClientError, CreateSessionSpec, ErrorCode, Json,
+    ServerConfig, StoreConfig,
 };
 
 fn test_server(capacity: usize, idle_timeout: Duration) -> (et_serve::ServerHandle, String) {
@@ -94,6 +94,28 @@ fn concurrent_wire_sessions_match_batch_exactly() {
         );
     }
 
+    shut_down(handle, &addr);
+}
+
+/// A session created without a seed runs under the server-derived 64-bit
+/// seed. The reply carries it exactly, so a `Client` can drive the session
+/// and the batch run under the echoed seed matches it bit for bit.
+#[test]
+fn server_derived_seed_reaches_the_client_exactly() {
+    let (handle, addr) = test_server(4, Duration::from_secs(300));
+    let mut client = Client::connect(&addr).expect("connect");
+    let spec = CreateSessionSpec {
+        rows: 80,
+        iterations: 4,
+        ..CreateSessionSpec::default()
+    };
+    let (session, seed) = client.create_session(&spec).expect("create without seed");
+    assert_eq!(seed, derive_seed(7, session), "the server-derived seed");
+    assert!(seed > 1 << 53, "needs more bits than a JSON number carries");
+    let outcome = client.drive_auto(session, seed).expect("drive");
+    client.close_session(session).expect("close");
+    let batch = run_batch(&spec, seed).expect("batch runs");
+    assert_eq!(outcome.mae_series, batch.mae_series());
     shut_down(handle, &addr);
 }
 

@@ -52,6 +52,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
+echo "==> benchmark harness (etbench) builds and passes its unit tests"
+# etbench is a package of its own over crates/*: a public-API change that
+# breaks the benchmark harness fails here, not in the benchmark run.
+cargo test -q --offline --manifest-path etbench/Cargo.toml
+
 echo "==> et-serve bins + server integration + event-loop transport tests"
 cargo build -q --release -p et-serve --bins
 cargo test -q -p et-serve --test server_integration
